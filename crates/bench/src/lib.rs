@@ -20,6 +20,7 @@
 //! | `overall` | Fig. 4, Fig. 5, Tables 3-6, Fig. 12 |
 //! | `ablation` | Fig. 7, Fig. 9, Fig. 10 |
 //! | `substrate` | simulator hot paths (access, scan, migrate) |
+//! | `workloads` | workload setup (R-MAT graph generation) |
 
 pub mod report;
 pub mod runner;

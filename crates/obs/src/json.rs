@@ -190,13 +190,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so byte
-                    // boundaries are valid).
+                    // Copy the run of unescaped bytes up to the next quote
+                    // or backslash in one go. Both are ASCII, so a run cut
+                    // from valid UTF-8 is itself valid UTF-8.
                     let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let run = &rest[..len.unwrap_or(rest.len())];
+                    let run = std::str::from_utf8(run)
+                        .map_err(|e| format!("invalid UTF-8 in string at byte {}: {e}", self.pos))?;
+                    out.push_str(run);
+                    self.pos += run.len();
                 }
             }
         }
@@ -299,6 +302,26 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"\\q\""] {
+            assert!(parse(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn decodes_multi_byte_strings() {
+        for text in ["héllo", "日本語", "τm → 2.5", "🎉 ok 🎉", "ßü\u{7f}"] {
+            let doc = format!("\"{text}\"");
+            assert_eq!(parse(&doc).unwrap().as_str(), Some(text), "{doc:?}");
+        }
+    }
+
+    #[test]
+    fn decodes_escapes_between_multi_byte_runs() {
+        let doc = r#"{"k": "é\"日\\本\n\u00e9🎉\t", "e": "", "x": "\"\""}"#;
+        let v = parse(doc).unwrap();
+        assert_eq!(v.get("k").unwrap().as_str(), Some("é\"日\\本\né🎉\t"));
+        assert_eq!(v.get("e").unwrap().as_str(), Some(""));
+        assert_eq!(v.get("x").unwrap().as_str(), Some("\"\""));
+        for bad in ["\"日本", "\"é\\", "\"é\\u00\"", "[\"ok\", \"日"] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
     }

@@ -50,7 +50,9 @@ pub fn workers() -> usize {
 ///
 /// `f` must be a pure function of shared read-only state: packets run
 /// concurrently in arbitrary order, so any side effect would break the
-/// byte-identical-across-worker-counts guarantee.
+/// byte-identical-across-worker-counts guarantee. The one allowed
+/// exception is a write to slots that belong to the packet alone (as
+/// R-MAT's fill pass does), which no other packet reads or writes.
 pub fn map_chunks<T, F>(workers: usize, len: usize, chunk: usize, f: F) -> Vec<T>
 where
     T: Send,

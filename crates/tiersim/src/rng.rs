@@ -4,6 +4,9 @@
 //! comparisons see identical streams; SplitMix64 is small, fast, and
 //! deterministic.
 
+/// The SplitMix64 state increment (the golden-ratio constant).
+const GAMMA: u64 = 0x9e3779b97f4a7c15;
+
 /// A SplitMix64 generator.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
@@ -13,7 +16,7 @@ pub struct SplitMix64 {
 impl SplitMix64 {
     /// Creates a generator from a seed.
     pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed.wrapping_add(0x9e3779b97f4a7c15) }
+        SplitMix64 { state: seed.wrapping_add(GAMMA) }
     }
 
     /// Current internal state, for checkpointing mid-stream.
@@ -28,10 +31,19 @@ impl SplitMix64 {
         SplitMix64 { state }
     }
 
+    /// Skips the next `k` draws in O(1): the state is a counter that
+    /// every draw advances by the same increment, so this leaves the
+    /// generator exactly where `k` calls of [`SplitMix64::next_u64`]
+    /// would. Lets a stream be split into chunks that are generated
+    /// independently yet reproduce the serial sequence.
+    pub fn advance(&mut self, k: u64) {
+        self.state = self.state.wrapping_add(k.wrapping_mul(GAMMA));
+    }
+
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
@@ -102,6 +114,40 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn advance_matches_repeated_draws() {
+        // The start states near the top of the u64 range make the skipped
+        // counter wrap around zero.
+        for start in [0, 5, u64::MAX - GAMMA, u64::MAX - 1, u64::MAX] {
+            for k in [0, 1, 2, 3, 17, 1000] {
+                let mut stepped = SplitMix64::from_state(start);
+                for _ in 0..k {
+                    stepped.next_u64();
+                }
+                let mut skipped = SplitMix64::from_state(start);
+                skipped.advance(k);
+                assert_eq!(skipped.state(), stepped.state(), "start={start:#x} k={k}");
+                assert_eq!(skipped.next_u64(), stepped.next_u64(), "start={start:#x} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn advance_wraps_modulo_two_to_the_64() {
+        let mut r = SplitMix64::new(9);
+        let start = r.state();
+        // u64::MAX + 1 draws is a full period of the counter.
+        r.advance(u64::MAX);
+        r.advance(1);
+        assert_eq!(r.state(), start);
+        // Skips compose: (2^64 - 2) then 5 is the same as 3.
+        r.advance(u64::MAX - 1);
+        r.advance(5);
+        let mut three = SplitMix64::from_state(start);
+        three.advance(3);
+        assert_eq!(r.state(), three.state());
     }
 
     #[test]

@@ -6,9 +6,22 @@
 //! traversal structure (hub pages hot, neighbor lists streamed). Generated
 //! graphs are cached per-process because several experiments traverse the
 //! same graph under different managers.
+//!
+//! Generation runs in parallel and still reproduces the serial R-MAT
+//! stream byte for byte, whatever the core count (DESIGN.md §5j). The
+//! edge range is cut into chunks. Each chunk skips its generator straight
+//! to its first edge ([`SplitMix64::advance`]), picks quadrants with
+//! integer compares that equal the serial float compares exactly, and
+//! writes its edges through per-chunk cursors that keep every adjacency
+//! list in serial order. A count pass and a fill pass each regenerate
+//! the chunk, so the `(src, dst)` edge list is never stored.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+use tiersim::engine::map_chunks;
 
 use crate::rng::SplitMix64;
 
@@ -61,54 +74,161 @@ pub struct RmatParams {
     pub seed: u64,
 }
 
+/// R-MAT partition probabilities of the top-left, top-right and
+/// bottom-left quadrants; the bottom-right quadrant takes the rest.
+const A: f64 = 0.57;
+const B: f64 = 0.19;
+const C: f64 = 0.19;
+
+/// Most chunks one build is split into. Every chunk holds a per-vertex
+/// cursor array, so the cap bounds the build's extra memory on large hosts.
+const MAX_CHUNKS: usize = 8;
+
+/// Edges generated into a buffer before they are scattered. Separating the
+/// dependent draws from the random stores lets the stores' cache misses
+/// overlap instead of waiting behind each edge's draws.
+const BATCH: usize = 4096;
+
+/// `unit_f64() < p` holds exactly when `(x >> 11) < threshold(p)`:
+/// `unit_f64` is `(x >> 11) · 2⁻⁵³` with no rounding, and scaling `p` by a
+/// power of two is exact, so the integer compare is the float compare.
+fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Everything one chunk needs to regenerate its share of the edge stream.
+struct Stream {
+    n: u32,
+    levels: u32,
+    seed: u64,
+    /// Integer forms of the cumulative quadrant bounds `A`, `A + B` and
+    /// `A + B + C`, computed from the same f64 sums the float compares use.
+    thresholds: [u64; 3],
+}
+
+impl Stream {
+    fn new(params: RmatParams) -> Stream {
+        let n = params.vertices.max(2);
+        Stream {
+            n,
+            levels: 32 - (n - 1).leading_zeros(),
+            seed: params.seed,
+            thresholds: [threshold(A), threshold(A + B), threshold(A + B + C)],
+        }
+    }
+
+    /// Generates the edges of `range` with `draw` in batches and hands
+    /// each batch to `scatter`. Edge `i` consumes draws
+    /// `i·levels..(i+1)·levels` of the seed's stream, so a chunk starts by
+    /// skipping straight to its first edge.
+    fn for_each_batch<T>(
+        &self,
+        range: Range<usize>,
+        draw: impl Fn(&mut SplitMix64) -> T,
+        mut scatter: impl FnMut(&[T]),
+    ) {
+        let mut rng = SplitMix64::new(self.seed);
+        rng.advance(range.start as u64 * self.levels as u64);
+        let mut batch = Vec::with_capacity(BATCH.min(range.len()));
+        for first in range.clone().step_by(BATCH) {
+            batch.clear();
+            batch.extend((first..range.end.min(first + BATCH)).map(|_| draw(&mut rng)));
+            scatter(&batch);
+        }
+    }
+
+    /// Draws one edge, one level per draw from the most significant bit
+    /// down: `[A, A+B)` sets the dst bit, `[A+B, A+B+C)` the src bit and
+    /// the rest both.
+    fn edge(&self, rng: &mut SplitMix64) -> (u32, u32) {
+        let [t_a, t_ab, t_abc] = self.thresholds;
+        let (mut src, mut dst) = (0u32, 0u32);
+        for _ in 0..self.levels {
+            let u = rng.next_u64() >> 11;
+            src = (src << 1) | (u >= t_ab) as u32;
+            dst = (dst << 1) | ((u >= t_a) & (u < t_ab) | (u >= t_abc)) as u32;
+        }
+        (self.fold(src), self.fold(dst))
+    }
+
+    /// Draws one edge like [`Stream::edge`] but returns only its source,
+    /// which is all the count pass needs.
+    fn source(&self, rng: &mut SplitMix64) -> u32 {
+        let t_ab = self.thresholds[1];
+        let mut src = 0u32;
+        for _ in 0..self.levels {
+            src = (src << 1) | ((rng.next_u64() >> 11) >= t_ab) as u32;
+        }
+        self.fold(src)
+    }
+
+    /// Folds a cell of the power-of-two grid onto `[0, n)`.
+    fn fold(&self, x: u32) -> u32 {
+        ((x as u64 * self.n as u64) >> self.levels) as u32
+    }
+}
+
 /// Generates an R-MAT graph with the canonical (0.57, 0.19, 0.19, 0.05)
 /// partition probabilities, producing a skewed (power-law-ish) degree
-/// distribution.
+/// distribution. Uses every available core; the output does not depend
+/// on the core count.
 pub fn rmat(params: RmatParams) -> Csr {
-    let n = params.vertices.max(2);
-    let levels = 32 - (n - 1).leading_zeros();
-    let side = 1u32 << levels;
-    let mut rng = SplitMix64::new(params.seed);
-    let mut degree = vec![0u64; n as usize + 1];
-    let mut edge_list: Vec<(u32, u32)> = Vec::with_capacity(params.edges as usize);
-    const A: f64 = 0.57;
-    const B: f64 = 0.19;
-    const C: f64 = 0.19;
-    for _ in 0..params.edges {
-        let (mut src, mut dst) = (0u32, 0u32);
-        for level in (0..levels).rev() {
-            let r = rng.unit_f64();
-            let bit = 1u32 << level;
-            if r < A {
-                // Top-left quadrant: no bits set.
-            } else if r < A + B {
-                dst |= bit;
-            } else if r < A + B + C {
-                src |= bit;
-            } else {
-                src |= bit;
-                dst |= bit;
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    rmat_chunked(params, workers.min(MAX_CHUNKS), workers)
+}
+
+/// [`rmat`] over `chunks` equal edge ranges on up to `workers` threads.
+/// Two passes regenerate each chunk instead of storing an edge list: the
+/// first counts every source's out-degree per chunk, the second writes
+/// each destination at its source's cursor for that chunk. Chunk `c`'s
+/// cursor for `v` starts after every earlier chunk's edges of `v`, so
+/// each adjacency list keeps the serial edge order.
+fn rmat_chunked(params: RmatParams, chunks: usize, workers: usize) -> Csr {
+    let stream = Stream::new(params);
+    let n = stream.n as usize;
+    let edges = params.edges as usize;
+    let chunk_len = edges.div_ceil(chunks.max(1));
+
+    let mut cursors = map_chunks(workers, edges, chunk_len, |range| {
+        let mut count = vec![0u64; n];
+        stream.for_each_batch(range, |rng| stream.source(rng), |batch| {
+            for &src in batch {
+                count[src as usize] += 1;
             }
+        });
+        count
+    });
+    let mut offsets = vec![0u64; n + 1];
+    let mut at = 0u64;
+    for v in 0..n {
+        offsets[v] = at;
+        for cursor in &mut cursors {
+            let count = cursor[v];
+            cursor[v] = at;
+            at += count;
         }
-        // Fold the power-of-two grid onto [0, n).
-        let src = (src as u64 * n as u64 / side as u64) as u32;
-        let dst = (dst as u64 * n as u64 / side as u64) as u32;
-        degree[src as usize + 1] += 1;
-        edge_list.push((src, dst));
     }
-    // Prefix sum, then scatter into CSR without sorting.
-    let mut offsets = degree;
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    let mut cursor = offsets.clone();
-    let mut neighbors = vec![0u32; params.edges as usize];
-    for (src, dst) in edge_list {
-        let at = cursor[src as usize];
-        neighbors[at as usize] = dst;
-        cursor[src as usize] += 1;
-    }
-    Csr { vertices: n, offsets, neighbors }
+    offsets[n] = at;
+
+    let cursors: Vec<Mutex<Vec<u64>>> = cursors.into_iter().map(Mutex::new).collect();
+    let neighbors: Vec<AtomicU32> = (0..edges).map(|_| AtomicU32::new(0)).collect();
+    map_chunks(workers, edges, chunk_len, |range| {
+        // Only this chunk ever locks its cursor array, so the lock never
+        // waits, and a panic here ends the build before anyone relocks it.
+        let mut cursor = cursors[range.start / chunk_len].lock().expect("cursor locked once");
+        stream.for_each_batch(range, |rng| stream.edge(rng), |batch| {
+            for &(src, dst) in batch {
+                let at = &mut cursor[src as usize];
+                // Positions are disjoint across chunks, so no store races;
+                // joining the workers orders every store before the
+                // conversion below.
+                neighbors[*at as usize].store(dst, Ordering::Relaxed);
+                *at += 1;
+            }
+        });
+    });
+    let neighbors = neighbors.into_iter().map(AtomicU32::into_inner).collect();
+    Csr { vertices: stream.n, offsets, neighbors }
 }
 
 /// Returns a process-wide cached graph for the given parameters.
@@ -134,6 +254,167 @@ pub fn cached_rmat(params: RmatParams) -> Arc<Csr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original serial generator, kept verbatim as the reference the
+    /// chunked one must reproduce byte for byte.
+    fn rmat_reference(params: RmatParams) -> Csr {
+        let n = params.vertices.max(2);
+        let levels = 32 - (n - 1).leading_zeros();
+        let side = 1u32 << levels;
+        let mut rng = SplitMix64::new(params.seed);
+        let mut degree = vec![0u64; n as usize + 1];
+        let mut edge_list: Vec<(u32, u32)> = Vec::with_capacity(params.edges as usize);
+        const A: f64 = 0.57;
+        const B: f64 = 0.19;
+        const C: f64 = 0.19;
+        for _ in 0..params.edges {
+            let (mut src, mut dst) = (0u32, 0u32);
+            for level in (0..levels).rev() {
+                let r = rng.unit_f64();
+                let bit = 1u32 << level;
+                if r < A {
+                    // Top-left quadrant: no bits set.
+                } else if r < A + B {
+                    dst |= bit;
+                } else if r < A + B + C {
+                    src |= bit;
+                } else {
+                    src |= bit;
+                    dst |= bit;
+                }
+            }
+            // Fold the power-of-two grid onto [0, n).
+            let src = (src as u64 * n as u64 / side as u64) as u32;
+            let dst = (dst as u64 * n as u64 / side as u64) as u32;
+            degree[src as usize + 1] += 1;
+            edge_list.push((src, dst));
+        }
+        // Prefix sum, then scatter into CSR without sorting.
+        let mut offsets = degree;
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut cursor = offsets.clone();
+        let mut neighbors = vec![0u32; params.edges as usize];
+        for (src, dst) in edge_list {
+            let at = cursor[src as usize];
+            neighbors[at as usize] = dst;
+            cursor[src as usize] += 1;
+        }
+        Csr { vertices: n, offsets, neighbors }
+    }
+
+    /// Chunk/worker counts every equivalence case runs at.
+    const SPLITS: [usize; 5] = [1, 2, 3, 7, 16];
+
+    fn assert_matches_reference(p: RmatParams) {
+        let want = rmat_reference(p);
+        let public = rmat(p);
+        assert_eq!(public.vertices, want.vertices, "{p:?}");
+        assert_eq!(public.offsets, want.offsets, "{p:?}");
+        assert_eq!(public.neighbors, want.neighbors, "{p:?}");
+        for k in SPLITS {
+            for (chunks, workers) in [(k, k), (k, 2)] {
+                let got = rmat_chunked(p, chunks, workers);
+                assert_eq!(got.vertices, want.vertices, "{p:?} chunks={chunks}");
+                assert_eq!(got.offsets, want.offsets, "{p:?} chunks={chunks} workers={workers}");
+                assert_eq!(
+                    got.neighbors, want.neighbors,
+                    "{p:?} chunks={chunks} workers={workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_matches_reference_on_edge_case_shapes() {
+        let shapes = [
+            // Non-power-of-two vertex counts.
+            (1000, 9_999),
+            (3, 64),
+            (5_000, 40_000),
+            // Fewer than two vertices (clamped to 2).
+            (0, 100),
+            (1, 100),
+            // No edges.
+            (1024, 0),
+            (0, 0),
+            // Fewer edges than chunks.
+            (64, 1),
+            (64, 5),
+            // Edge counts no chunk count divides.
+            (777, 10_007),
+            (4096, 4096 * 3 + 1),
+            // Exactly one full batch, and one past it.
+            (512, BATCH as u64 * 2),
+            (512, BATCH as u64 * 2 + 1),
+        ];
+        for (vertices, edges) in shapes {
+            for seed in [0, 42, u64::MAX] {
+                assert_matches_reference(RmatParams { vertices, edges, seed });
+            }
+        }
+    }
+
+    #[test]
+    fn prop_chunked_matches_reference() {
+        use proptest_lite::{gen, prop_check};
+        prop_check!(
+            "rmat_chunked_matches_reference",
+            24,
+            (gen::u64_range(0, 20_000), gen::u64_range(0, 30_000), gen::u64_range(0, u64::MAX)),
+            |&(vertices, edges, seed)| {
+                let p = RmatParams { vertices: vertices as u32, edges, seed };
+                let want = rmat_reference(p);
+                for k in SPLITS {
+                    let got = rmat_chunked(p, k, k);
+                    proptest_lite::prop_assert_eq!(got.offsets, want.offsets, "chunks={k}");
+                    proptest_lite::prop_assert_eq!(got.neighbors, want.neighbors, "chunks={k}");
+                }
+            }
+        );
+    }
+
+    /// A generator state whose next draw is `x`, by inverting SplitMix64's
+    /// output mix step by step.
+    fn state_yielding(x: u64) -> u64 {
+        fn unshift(y: u64, s: u32) -> u64 {
+            let mut x = y;
+            for _ in 0..64 / s {
+                x = y ^ (x >> s);
+            }
+            x
+        }
+        fn inverse(m: u64) -> u64 {
+            // Newton's iteration doubles the correct low bits each step.
+            let mut inv = m;
+            for _ in 0..6 {
+                inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
+            }
+            inv
+        }
+        let z = unshift(x, 31).wrapping_mul(inverse(0x94d049bb133111eb));
+        let z = unshift(z, 27).wrapping_mul(inverse(0xbf58476d1ce4e5b9));
+        unshift(z, 30).wrapping_sub(0x9e3779b97f4a7c15)
+    }
+
+    #[test]
+    fn integer_thresholds_agree_with_unit_f64_compares() {
+        let stream = Stream::new(RmatParams { vertices: 1024, edges: 0, seed: 0 });
+        let used = [A, A + B, A + B + C].into_iter().zip(stream.thresholds);
+        // Below 0.5, p·2⁵³ has a fraction and the ceiling matters.
+        let fractional = [B, 0.05, 0.1, 1e-9].map(|p| (p, threshold(p)));
+        for (p, t) in used.chain(fractional) {
+            for u in [t - 1, t, t + 1] {
+                for low in [0, 0x7ff] {
+                    let x = (u << 11) | low;
+                    let mut rng = SplitMix64::from_state(state_yielding(x));
+                    assert_eq!(rng.clone().next_u64(), x);
+                    assert_eq!(rng.unit_f64() < p, u < t, "p={p} t={t} u={u}");
+                }
+            }
+        }
+    }
 
     fn small() -> Csr {
         rmat(RmatParams { vertices: 1024, edges: 16_384, seed: 42 })
@@ -192,6 +473,21 @@ mod tests {
         for h in handles {
             assert!(Arc::ptr_eq(&h.join().expect("no panic"), &first));
         }
+    }
+
+    #[test]
+    fn quick_profile_bfs_graph_matches_golden_digest() {
+        let mut h = 0xcbf29ce484222325u64;
+        let g = rmat(crate::bfs::BfsConfig::paper(4096, 1).graph);
+        let offsets = g.offsets.iter().flat_map(|o| o.to_le_bytes());
+        let neighbors = g.neighbors.iter().flat_map(|v| v.to_le_bytes());
+        for b in offsets.chain(neighbors) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        assert_eq!((g.vertices, g.edges()), (219_726, 3_417_968));
+        // Pinned from the serial generator the chunked one replaced.
+        assert_eq!(h, 0xacb7ca52ad5c1072, "{h:#018x}");
     }
 
     #[test]
