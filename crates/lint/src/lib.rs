@@ -24,6 +24,9 @@
 //!   migration paths (`tiersim::migrate`, `mtm::migration`).
 //! - **H1 hermetic-dep** — every manifest dependency must resolve
 //!   inside the workspace (see [`hermetic`]).
+//! - **U1 unsafe-safety** — every `unsafe` block or impl needs a
+//!   `// SAFETY:` comment directly above it, and every `unsafe fn` (or
+//!   trait) a `# Safety` doc section stating what its caller must uphold.
 //!
 //! Semantic rules (whole-workspace, over the call graph built by
 //! [`parse`] + [`graph`]):
@@ -87,6 +90,8 @@ pub enum Rule {
     ObsName,
     /// L1: `lint:allow`/`lint.toml` slug naming no existing rule.
     BadAllow,
+    /// U1: `unsafe` code without its safety argument.
+    UnsafeSafety,
 }
 
 impl Rule {
@@ -103,9 +108,10 @@ impl Rule {
         Rule::PanicPath,
         Rule::ObsName,
         Rule::BadAllow,
+        Rule::UnsafeSafety,
     ];
 
-    /// Short rule code (`D1`..`D8`, `H1`, `O1`, `L1`).
+    /// Short rule code (`D1`..`D8`, `H1`, `O1`, `L1`, `U1`).
     pub fn code(self) -> &'static str {
         match self {
             Rule::WallClock => "D1",
@@ -119,6 +125,7 @@ impl Rule {
             Rule::PanicPath => "D8",
             Rule::ObsName => "O1",
             Rule::BadAllow => "L1",
+            Rule::UnsafeSafety => "U1",
         }
     }
 
@@ -136,6 +143,7 @@ impl Rule {
             Rule::PanicPath => "panic-path",
             Rule::ObsName => "obs-name",
             Rule::BadAllow => "bad-allow",
+            Rule::UnsafeSafety => "unsafe-safety",
         }
     }
 
@@ -400,6 +408,12 @@ pub fn strip_code(src: &str) -> String {
 
 /// True when `word` occurs in `line` delimited by non-identifier chars.
 pub(crate) fn has_ident(line: &str, word: &str) -> bool {
+    ident_at(line, word).is_some()
+}
+
+/// Byte offset of the first occurrence of `word` in `line` delimited by
+/// non-identifier chars.
+fn ident_at(line: &str, word: &str) -> Option<usize> {
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let mut start = 0;
     while let Some(pos) = line[start..].find(word) {
@@ -407,11 +421,11 @@ pub(crate) fn has_ident(line: &str, word: &str) -> bool {
         let before_ok = at == 0 || !line[..at].chars().next_back().is_some_and(is_ident);
         let after_ok = !line[at + word.len()..].chars().next().is_some_and(is_ident);
         if before_ok && after_ok {
-            return true;
+            return Some(at);
         }
         start = at + word.len();
     }
-    false
+    None
 }
 
 /// Marks every line inside a `#[cfg(test)]`-gated item (brace-matched
@@ -614,8 +628,51 @@ pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
                 &mut findings,
             );
         }
+
+        if let Some(message) = unsafe_without_safety(&stripped_lines, &raw_lines, idx) {
+            emit(idx, Rule::UnsafeSafety, message, &mut findings);
+        }
     }
     findings
+}
+
+/// U1 for the `unsafe` on line `idx`: `None` when it carries its safety
+/// argument (or is not an unsafe item at all, e.g. an `unsafe(...)`
+/// attribute), else the finding's message. A block, impl or extern block
+/// needs a `// SAFETY:` line in the run of `//` comments directly above
+/// it; an `unsafe fn` or trait needs a `# Safety` heading in the doc
+/// comments above it (attributes may sit between).
+fn unsafe_without_safety(stripped: &[&str], raw: &[&str], idx: usize) -> Option<String> {
+    let line = stripped[idx];
+    let at = ident_at(line, "unsafe")?;
+    // What follows `unsafe`, on a later line if it ends this one.
+    let after =
+        std::iter::once(&line[at + "unsafe".len()..]).chain(stripped[idx + 1..].iter().copied());
+    let rest = after.map(str::trim).find(|l| !l.is_empty()).unwrap_or("");
+    let word: String = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+    let declares_fn = match word.as_str() {
+        "fn" | "trait" => true,
+        "extern" => rest.split('{').next().is_some_and(|head| has_ident(head, "fn")),
+        "impl" => false,
+        "" if rest.starts_with('{') => false,
+        _ => return None,
+    };
+    let above = raw[..idx].iter().rev().map(|l| l.trim_start());
+    if declares_fn {
+        let mut doc = above.take_while(|l| l.starts_with("///") || l.starts_with("#["));
+        if doc.any(|l| l.trim_start_matches('/').trim() == "# Safety") {
+            return None;
+        }
+        return Some(format!(
+            "`unsafe {word}` without a `# Safety` doc section stating what must hold"
+        ));
+    }
+    let mut comments = above.take_while(|l| l.starts_with("//") && !l.starts_with("///"));
+    if comments.any(|l| l.trim_start_matches('/').trim_start().starts_with("SAFETY:")) {
+        return None;
+    }
+    let what = if word.is_empty() { "block".to_string() } else { word };
+    Some(format!("`unsafe` {what} without a `// SAFETY:` comment directly above it"))
 }
 
 /// Recursively collects every `.rs` file under `root`, skipping build

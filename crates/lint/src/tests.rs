@@ -215,6 +215,31 @@ fn d5_does_not_match_unwrap_or_family_or_test_code() {
     assert!(scan_source("crates/tiersim/src/migrate.rs", test_src).is_empty());
 }
 
+// ------------------------------------------------------------------- U1
+
+#[test]
+fn u1_catches_unsafe_without_its_safety_argument() {
+    let src = "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n\
+               /// Reads `p`.\npub unsafe fn g(p: *const u8) -> u8 {\n    *p\n}\n\
+               // Sendable.\nunsafe impl Send for H {}\n\
+               let x = // SAFETY: on the wrong line\n    unsafe\n    { 1 };\n";
+    let f = scan_source("crates/workloads/src/graph.rs", src);
+    assert_eq!(rules_of(&f), vec![Rule::UnsafeSafety; 4], "{f:?}");
+    assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), vec![2, 5, 9, 11]);
+}
+
+#[test]
+fn u1_accepts_documented_unsafe_and_ignores_non_items() {
+    let src = "fn f(p: *const u8) -> u8 {\n    // Reads one byte.\n    // SAFETY: `p` is valid.\n    unsafe { *p }\n}\n\
+               /// Reads `p`.\n///\n/// # Safety\n///\n/// `p` must be valid.\n#[inline]\npub unsafe fn g(p: *const u8) -> u8 {\n    *p\n}\n\
+               // SAFETY: `H` owns its pointer.\nunsafe impl Send for H {}\n\
+               let s = \"unsafe { x }\"; // unsafe { y }\n#![forbid(unsafe_code)]\n#[unsafe(no_mangle)]\nfn h() {}\n";
+    let f = scan_source("crates/workloads/src/graph.rs", src);
+    assert!(f.is_empty(), "{f:?}");
+    let test_src = "#[cfg(test)]\nmod tests {\n    fn f(p: *const u8) -> u8 { unsafe { *p } }\n}\n";
+    assert!(scan_source("crates/workloads/src/graph.rs", test_src).is_empty());
+}
+
 // ------------------------------------------------------------------- H1
 
 #[test]
@@ -505,7 +530,14 @@ fn the_seeded_corpus_matches_its_golden_findings() {
     let want = std::fs::read_to_string(dir.join("expected.txt")).expect("golden file");
     assert_eq!(got, want, "corpus findings drifted from expected.txt");
     // Every semantic rule demonstrably catches its seeded violation.
-    for rule in [Rule::DeterminismTaint, Rule::LockOrder, Rule::PanicPath, Rule::ObsName, Rule::BadAllow] {
+    for rule in [
+        Rule::DeterminismTaint,
+        Rule::LockOrder,
+        Rule::PanicPath,
+        Rule::ObsName,
+        Rule::BadAllow,
+        Rule::UnsafeSafety,
+    ] {
         assert!(findings.iter().any(|f| f.rule == rule), "corpus misses {rule:?}");
     }
 }

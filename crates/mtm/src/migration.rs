@@ -238,11 +238,10 @@ impl MigrationEngine {
     /// Restores the dynamic state saved with [`MigrationEngine::save`]
     /// into an engine freshly built from the same configuration.
     pub fn load(&mut self, r: &mut obs::wire::Reader) -> Result<(), String> {
-        use tiersim::addr::VirtAddr;
         let count = r.varint()? as usize;
         let mut pending = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
-            let range = VaRange::new(VirtAddr(r.u64()?), VirtAddr(r.u64()?));
+            let range = VaRange::load(r)?;
             let src = if r.bool()? { Some(r.u16()?) } else { None };
             pending.push(PendingAsync {
                 range,
@@ -276,7 +275,7 @@ impl MigrationEngine {
         self.history.clear();
         for _ in 0..r.varint()? {
             let at = r.varint()?;
-            let range = VaRange::new(VirtAddr(r.u64()?), VirtAddr(r.u64()?));
+            let range = VaRange::load(r)?;
             self.history.push_back((at, range));
         }
         self.now_interval = r.varint()?;
@@ -541,6 +540,18 @@ mod tests {
         m.mmap("a", r, false);
         m.prefault_range(r, &[0]).unwrap();
         m
+    }
+
+    #[test]
+    fn load_rejects_an_inverted_pending_range() {
+        let mut w = obs::wire::Writer::new();
+        w.varint(1);
+        w.u64(3 * PAGE_SIZE_2M);
+        w.u64(PAGE_SIZE_2M);
+        let bytes = w.into_bytes();
+        let mut e = MigrationEngine::new(4, true);
+        let err = e.load(&mut obs::wire::Reader::new(&bytes)).unwrap_err();
+        assert!(err.contains("inverted range"), "{err}");
     }
 
     #[test]

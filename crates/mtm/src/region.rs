@@ -413,7 +413,7 @@ impl RegionList {
         let count = r.varint()? as usize;
         let mut regions = Vec::with_capacity(count.min(1 << 20));
         for _ in 0..count {
-            let range = VaRange::new(VirtAddr(r.u64()?), VirtAddr(r.u64()?));
+            let range = VaRange::load(r)?;
             let quota = r.u32()?;
             let hi = r.f64()?;
             let prev_hi = r.f64()?;
@@ -460,6 +460,19 @@ mod tests {
 
     fn bases(chunks: &[u64]) -> Vec<VirtAddr> {
         chunks.iter().map(|&c| VirtAddr(c * PAGE_SIZE_2M)).collect()
+    }
+
+    #[test]
+    fn load_rejects_an_inverted_region_range() {
+        let mut w = obs::wire::Writer::new();
+        for v in [2, 0, 0, 1] {
+            w.varint(v);
+        }
+        w.u64(2 * PAGE_SIZE_2M);
+        w.u64(PAGE_SIZE_2M);
+        let bytes = w.into_bytes();
+        let err = RegionList::load(&mut obs::wire::Reader::new(&bytes)).unwrap_err();
+        assert!(err.contains("inverted range"), "{err}");
     }
 
     fn evidence_all(list: &mut RegionList) {

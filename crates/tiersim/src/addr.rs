@@ -144,6 +144,16 @@ impl VaRange {
         VaRange { start, end }
     }
 
+    /// Reads a range written as its start and end addresses (two `u64`s),
+    /// rejecting an inverted one as corrupt input instead of panicking.
+    pub fn load(r: &mut obs::wire::Reader) -> Result<VaRange, String> {
+        let (start, end) = (r.u64()?, r.u64()?);
+        if end < start {
+            return Err(format!("inverted range {start:#x}..{end:#x}"));
+        }
+        Ok(VaRange { start: VirtAddr(start), end: VirtAddr(end) })
+    }
+
     /// Builds a range from a start address and a length in bytes.
     pub fn from_len(start: VirtAddr, len: u64) -> VaRange {
         VaRange { start, end: start + len }
@@ -247,6 +257,22 @@ mod tests {
         assert_eq!(VirtAddr(PAGE_SIZE_4K).pte_index(), 1);
         assert_eq!(VirtAddr(PAGE_SIZE_2M - PAGE_SIZE_4K).pte_index(), 511);
         assert_eq!(VirtAddr(PAGE_SIZE_2M).pte_index(), 0);
+    }
+
+    #[test]
+    fn range_load_rejects_inverted_ranges() {
+        let blob = |start: u64, end: u64| {
+            let mut w = obs::wire::Writer::new();
+            w.u64(start);
+            w.u64(end);
+            w.into_bytes()
+        };
+        let ok = blob(0x1000, 0x3000);
+        let got = VaRange::load(&mut obs::wire::Reader::new(&ok)).unwrap();
+        assert_eq!(got, VaRange::new(VirtAddr(0x1000), VirtAddr(0x3000)));
+        let bad = blob(0x3000, 0x1000);
+        let err = VaRange::load(&mut obs::wire::Reader::new(&bad)).unwrap_err();
+        assert!(err.contains("inverted range"), "{err}");
     }
 
     #[test]

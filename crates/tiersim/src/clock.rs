@@ -37,7 +37,7 @@ impl TimeBreakdown {
 }
 
 /// The machine clock: per-interval accumulators plus committed totals.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Clock {
     threads: usize,
     nodes: usize,

@@ -35,7 +35,7 @@ impl FrameSize {
 /// whole block; 4 KB frames are sub-allocated from blocks dedicated to base
 /// pages. Blocks freed in either mode return to the shared free list, so
 /// space moves freely between huge and base usage.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct FrameAllocator {
     component: ComponentId,
     capacity: u64,
@@ -329,8 +329,17 @@ impl VersionStore {
     pub fn load(r: &mut obs::wire::Reader) -> Result<VersionStore, String> {
         let mut comps = Vec::new();
         for _ in 0..r.varint()? {
-            let n = r.varint()? as usize;
-            let mut v = Vec::with_capacity(n);
+            let n = r.varint()?;
+            // Every version is a varint of at least one byte, so a longer
+            // claimed length is corrupt; checking it first bounds the
+            // allocation by the blob's size.
+            if n > r.remaining() as u64 {
+                return Err(format!(
+                    "version store: {n} versions claimed but only {} bytes left",
+                    r.remaining()
+                ));
+            }
+            let mut v = Vec::with_capacity(n as usize);
             for _ in 0..n {
                 v.push(r.varint()?);
             }
@@ -416,5 +425,25 @@ mod tests {
         assert_eq!(v.get(b), 2);
         v.bump(a);
         assert_ne!(v.get(a), v.get(b), "stale copy detectable");
+    }
+
+    #[test]
+    fn version_store_load_rejects_inflated_lengths() {
+        // One component claiming `n` versions, followed by two.
+        let blob = |n: u64| {
+            let mut w = obs::wire::Writer::new();
+            for v in [1, n, 7, 9] {
+                w.varint(v);
+            }
+            w.into_bytes()
+        };
+        for n in [1u64 << 61, u64::MAX, 3] {
+            let bytes = blob(n);
+            let err = VersionStore::load(&mut obs::wire::Reader::new(&bytes)).unwrap_err();
+            assert!(err.contains("versions claimed"), "n={n}: {err}");
+        }
+        let bytes = blob(2);
+        let v = VersionStore::load(&mut obs::wire::Reader::new(&bytes)).unwrap();
+        assert_eq!(v.comps, vec![vec![7, 9]]);
     }
 }

@@ -1283,7 +1283,10 @@ impl Machine {
                 self.config_digest()
             ));
         }
-        self.pt = PageTable::load(&mut r)?;
+        // Every field is decoded into a local first and committed only
+        // after the whole blob parsed, so an `Err` leaves the machine
+        // exactly as it was.
+        let pt = PageTable::load(&mut r)?;
         let n = r.varint()? as usize;
         if n != self.allocators.len() {
             return Err(format!(
@@ -1291,15 +1294,19 @@ impl Machine {
                 self.allocators.len()
             ));
         }
-        for a in self.allocators.iter_mut() {
+        let mut allocators = self.allocators.clone();
+        for a in allocators.iter_mut() {
             a.load(&mut r)?;
         }
-        self.clock.load(&mut r)?;
-        self.counters.load(&mut r)?;
-        self.pebs.load(&mut r)?;
-        self.hints = HintFaultUnit::load(&mut r)?;
-        self.versions = VersionStore::load(&mut r)?;
-        self.stats = MachineStats {
+        let mut clock = self.clock.clone();
+        clock.load(&mut r)?;
+        let mut counters = self.counters.clone();
+        counters.load(&mut r)?;
+        let mut pebs = self.pebs.clone();
+        pebs.load(&mut r)?;
+        let hints = HintFaultUnit::load(&mut r)?;
+        let versions = VersionStore::load(&mut r)?;
+        let stats = MachineStats {
             alloc_faults: r.varint()?,
             hint_faults: r.varint()?,
             prot_faults: r.varint()?,
@@ -1309,32 +1316,28 @@ impl Machine {
             pages_migrated: r.varint()?,
             bytes_migrated: r.varint()?,
         };
-        self.prot_faults.clear();
+        let mut prot_faults = Vec::new();
         for _ in 0..r.varint()? {
-            self.prot_faults.push(ProtFault {
+            prot_faults.push(ProtFault {
                 page: VirtAddr(r.u64()?),
                 tid: r.u32()?,
                 is_write: r.bool()?,
             });
         }
-        self.watches.clear();
+        let mut watches = Vec::new();
         for _ in 0..r.varint()? {
-            self.watches.push(WatchEntry {
-                range: VaRange::new(VirtAddr(r.u64()?), VirtAddr(r.u64()?)),
+            watches.push(WatchEntry {
+                range: VaRange::load(&mut r)?,
                 dirty: r.bool()?,
                 id: r.u64()?,
             });
         }
-        self.watch_bounds = if r.bool()? {
-            Some(VaRange::new(VirtAddr(r.u64()?), VirtAddr(r.u64()?)))
-        } else {
-            None
-        };
-        self.next_watch_id = r.u64()?;
-        self.shadow_mode = r.bool()?;
-        self.shadows.clear();
+        let watch_bounds = if r.bool()? { Some(VaRange::load(&mut r)?) } else { None };
+        let next_watch_id = r.u64()?;
+        let shadow_mode = r.bool()?;
+        let mut shadows = Vec::new();
         for _ in 0..r.varint()? {
-            let range = VaRange::new(VirtAddr(r.u64()?), VirtAddr(r.u64()?));
+            let range = VaRange::load(&mut r)?;
             let component = r.u16()?;
             let watch_id = r.u64()?;
             let mut pages = Vec::new();
@@ -1342,21 +1345,39 @@ impl Machine {
                 let va = VirtAddr(r.u64()?);
                 let fc = r.u16()?;
                 let off = r.u64()?;
+                if off >= 1 << 48 {
+                    return Err(format!("checkpoint: shadow frame offset {off:#x} beyond 48 bits"));
+                }
                 let size = if r.bool()? { FrameSize::Huge2M } else { FrameSize::Base4K };
                 pages.push((va, crate::addr::PhysAddr::new(fc, off), size));
             }
             let bytes = pages.iter().map(|&(_, _, s)| s.bytes()).sum();
-            self.shadows.push(ShadowEntry { range, component, watch_id, pages, bytes });
+            shadows.push(ShadowEntry { range, component, watch_id, pages, bytes });
         }
-        let heat_len = r.varint()? as usize;
-        self.heat.clear();
-        self.heat.reserve(heat_len);
-        for _ in 0..heat_len {
-            self.heat.push(r.varint()?);
+        let mut heat = Vec::new();
+        for _ in 0..r.varint()? {
+            heat.push(r.varint()?);
         }
-        self.recorder = obs::Recorder::load(&mut r)?;
-        self.faults = faultsim::FaultState::disabled();
+        let recorder = obs::Recorder::load(&mut r)?;
         r.finish()?;
+
+        self.pt = pt;
+        self.allocators = allocators;
+        self.clock = clock;
+        self.counters = counters;
+        self.pebs = pebs;
+        self.hints = hints;
+        self.versions = versions;
+        self.stats = stats;
+        self.prot_faults = prot_faults;
+        self.watches = watches;
+        self.watch_bounds = watch_bounds;
+        self.next_watch_id = next_watch_id;
+        self.shadow_mode = shadow_mode;
+        self.shadows = shadows;
+        self.heat = heat;
+        self.recorder = recorder;
+        self.faults = faultsim::FaultState::disabled();
         if self.checking {
             self.verify_consistency("checkpoint restore");
         }
@@ -1748,6 +1769,43 @@ mod tests {
         assert_eq!(m.drain_hint_faults(), n.drain_hint_faults());
         assert_eq!(m.drain_prot_faults(), n.drain_prot_faults());
         assert_eq!(m.save_state().unwrap(), n.save_state().unwrap());
+    }
+
+    #[test]
+    fn failed_load_state_leaves_the_machine_unchanged() {
+        let build = || {
+            let topo = tiny_two_tier(4 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
+            let mut cfg = MachineConfig::new(topo, 2);
+            cfg.pebs.period = 2;
+            cfg.track_heat = true;
+            Machine::new(cfg)
+        };
+        let populate = |m: &mut Machine, pages: u64| {
+            m.mmap("test", VaRange::from_len(VirtAddr(0), 8 * PAGE_SIZE_2M), false);
+            for p in 0..pages {
+                m.alloc_and_map(0, VirtAddr(p * 4096), &[0, 1]).unwrap();
+            }
+            m.arm_write_watch(VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M));
+            for i in 0..24u64 {
+                let kind = if i % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
+                m.access((i % 2) as usize, VirtAddr((i % pages) * 4096), kind);
+            }
+        };
+        let mut m = build();
+        populate(&mut m, 6);
+        let blob = m.save_state().unwrap();
+
+        let mut n = build();
+        populate(&mut n, 3);
+        let before = n.save_state().unwrap();
+        assert_ne!(before, blob);
+        let cuts = (0..blob.len()).step_by(blob.len() / 61 + 1).chain([blob.len() - 1]);
+        for cut in cuts {
+            assert!(n.load_state(&blob[..cut]).is_err(), "cut at {cut} of {}", blob.len());
+            assert_eq!(n.save_state().unwrap(), before, "cut at {cut} changed the machine");
+        }
+        n.load_state(&blob).unwrap();
+        assert_eq!(n.save_state().unwrap(), blob);
     }
 
     #[test]

@@ -685,27 +685,53 @@ impl PageTable {
             let start = r.u64()?;
             let end = r.u64()?;
             let thp = r.bool()?;
-            if start > end || end > VA_LIMIT || start & (PAGE_SIZE_4K - 1) != 0 {
+            if start > end || end > VA_LIMIT || (start | end) & (PAGE_SIZE_4K - 1) != 0 {
                 return Err(format!("page table: invalid VMA range {start:#x}..{end:#x}"));
             }
-            pt.mmap(&name, VaRange::new(VirtAddr(start), VirtAddr(end)), thp);
+            let range = VaRange::new(VirtAddr(start), VirtAddr(end));
+            if pt.vmas.iter().any(|v| v.range.overlaps(range)) {
+                return Err(format!("page table: VMA {range:?} overlaps another"));
+            }
+            pt.mmap(&name, range, thp);
         }
         let pages = r.varint()?;
         let mut prev = 0u64;
         for _ in 0..pages {
-            let pn = prev + r.varint()?;
+            let delta = r.varint()?;
+            let pn =
+                prev.checked_add(delta).filter(|&pn| pn < VA_LIMIT >> 12).ok_or_else(|| {
+                    format!("page table: page {prev:#x} + {delta:#x} beyond 47-bit user space")
+                })?;
             prev = pn;
             let huge = r.bool()?;
             let pte = Pte(r.u64()?);
             let va = VirtAddr(pn << 12);
+            // Everything `map_2m`/`map_4k` assert is checked first, so a
+            // corrupt blob is an error, never a panic.
+            let slot = pt.entry(va.pde_index());
             if huge {
                 if !pte.present() || !pte.huge() {
                     return Err(format!("page table: bad huge PTE {:#x} at {va:?}", pte.0));
+                }
+                if !va.is_2m_aligned() {
+                    return Err(format!("page table: misaligned huge page at {va:?}"));
+                }
+                if slot.is_some() {
+                    return Err(format!("page table: double map at {va:?}"));
                 }
                 pt.map_2m(va, pte);
             } else {
                 if !pte.present() || pte.huge() {
                     return Err(format!("page table: bad base PTE {:#x} at {va:?}", pte.0));
+                }
+                match slot {
+                    Some(PdEntry::Huge(_)) => {
+                        return Err(format!("page table: 4K page inside huge mapping at {va:?}"));
+                    }
+                    Some(PdEntry::Table(leaf)) if test_bit(&leaf.present, va.pte_index()) => {
+                        return Err(format!("page table: double map at {va:?}"));
+                    }
+                    _ => {}
                 }
                 pt.map_4k(va, pte);
             }
@@ -958,6 +984,49 @@ mod tests {
         let mut w2 = obs::wire::Writer::new();
         back.save(&mut w2);
         assert_eq!(w2.into_bytes(), bytes);
+    }
+
+    /// A page-table blob with `vmas` as `(start, end)` and `pages` as
+    /// `(page-number delta, (huge, PTE))` entries.
+    fn blob(vmas: &[(u64, u64)], pages: &[(u64, (bool, Pte))]) -> Vec<u8> {
+        let mut w = obs::wire::Writer::new();
+        w.varint(vmas.len() as u64);
+        for &(start, end) in vmas {
+            w.str("v");
+            w.u64(start);
+            w.u64(end);
+            w.bool(false);
+        }
+        w.varint(pages.len() as u64);
+        for &(delta, (huge, pte)) in pages {
+            w.varint(delta);
+            w.bool(huge);
+            w.u64(pte.0);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn load_rejects_corrupt_mappings() {
+        let huge = Pte::map(PhysAddr::new(0, 0), true);
+        let base = pte4k(0, 0x5000);
+        let (b, h) = ((false, base), (true, huge));
+        let no = vec![];
+        let cases = [
+            ("page beyond 47 bits", no.clone(), vec![(VA_LIMIT >> 12, b)], "beyond 47"),
+            ("page number overflow", no.clone(), vec![(5, b), (u64::MAX - 1, b)], "beyond 47"),
+            ("repeated base page", no.clone(), vec![(5, b), (0, b)], "double map"),
+            ("repeated huge page", no.clone(), vec![(512, h), (0, h)], "double map"),
+            ("misaligned huge page", no.clone(), vec![(1, h)], "misaligned huge"),
+            ("4K page in huge", no.clone(), vec![(0, h), (3, b)], "inside huge"),
+            ("misaligned VMA end", vec![(0, 0x1800)], vec![], "invalid VMA"),
+            ("overlapping VMAs", vec![(0, 0x3000), (0x2000, 0x5000)], vec![], "overlaps"),
+        ];
+        for (what, vmas, pages, want) in cases {
+            let bytes = blob(&vmas, &pages);
+            let err = PageTable::load(&mut obs::wire::Reader::new(&bytes)).err();
+            assert!(err.as_deref().is_some_and(|e| e.contains(want)), "{what}: {err:?}");
+        }
     }
 
     #[test]

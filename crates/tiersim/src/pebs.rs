@@ -47,7 +47,7 @@ impl PebsConfig {
 }
 
 /// The sampling unit.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Pebs {
     period: u64,
     monitored_mask: u64,

@@ -4,8 +4,9 @@
 //! comparisons see identical streams; SplitMix64 is small, fast, and
 //! deterministic.
 
-/// The SplitMix64 state increment (the golden-ratio constant).
-const GAMMA: u64 = 0x9e3779b97f4a7c15;
+/// The SplitMix64 state increment (the golden-ratio constant): draw `i`
+/// of a generator at state `s` is the output mix of `s + (i + 1)·GAMMA`.
+pub const GAMMA: u64 = 0x9e3779b97f4a7c15;
 
 /// A SplitMix64 generator.
 #[derive(Clone, Debug)]

@@ -14,7 +14,9 @@
 //! integer compares that equal the serial float compares exactly, and
 //! writes its edges through per-chunk cursors that keep every adjacency
 //! list in serial order. A count pass and a fill pass each regenerate
-//! the chunk, so the `(src, dst)` edge list is never stored.
+//! the chunk, so the `(src, dst)` edge list is never stored. On CPUs with
+//! AVX-512 both passes draw 8 edges at once, one per vector lane, with the
+//! same result as the scalar path.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -104,36 +106,71 @@ struct Stream {
     /// Integer forms of the cumulative quadrant bounds `A`, `A + B` and
     /// `A + B + C`, computed from the same f64 sums the float compares use.
     thresholds: [u64; 3],
+    /// True only when this CPU has AVX-512F and AVX-512DQ, which the
+    /// 8-lane kernel needs. Set once per build by [`Stream::new`].
+    avx512: bool,
 }
 
 impl Stream {
     fn new(params: RmatParams) -> Stream {
         let n = params.vertices.max(2);
+        #[cfg(target_arch = "x86_64")]
+        let avx512 = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx512 = false;
         Stream {
             n,
             levels: 32 - (n - 1).leading_zeros(),
             seed: params.seed,
             thresholds: [threshold(A), threshold(A + B), threshold(A + B + C)],
+            avx512,
         }
     }
 
-    /// Generates the edges of `range` with `draw` in batches and hands
-    /// each batch to `scatter`. Edge `i` consumes draws
-    /// `i·levels..(i+1)·levels` of the seed's stream, so a chunk starts by
-    /// skipping straight to its first edge.
-    fn for_each_batch<T>(
+    /// Generates the edges of `range` in batches and hands each batch's
+    /// sources and destinations to `scatter`; without `DST` only the
+    /// sources are drawn and the destination slice is empty. Edge `i`
+    /// consumes draws `i·levels..(i+1)·levels` of the seed's stream, so a
+    /// chunk starts by skipping straight to its first edge.
+    fn for_each_batch<const DST: bool>(
         &self,
         range: Range<usize>,
-        draw: impl Fn(&mut SplitMix64) -> T,
-        mut scatter: impl FnMut(&[T]),
+        mut scatter: impl FnMut(&[u32], &[u32]),
     ) {
         let mut rng = SplitMix64::new(self.seed);
         rng.advance(range.start as u64 * self.levels as u64);
-        let mut batch = Vec::with_capacity(BATCH.min(range.len()));
+        let cap = BATCH.min(range.len());
+        let mut src = vec![0u32; cap];
+        let mut dst = vec![0u32; if DST { cap } else { 0 }];
         for first in range.clone().step_by(BATCH) {
-            batch.clear();
-            batch.extend((first..range.end.min(first + BATCH)).map(|_| draw(&mut rng)));
-            scatter(&batch);
+            let len = BATCH.min(range.end - first);
+            let (src, dst) = (&mut src[..len], &mut dst[..if DST { len } else { 0 }]);
+            self.draw_batch::<DST>(&mut rng, src, dst);
+            scatter(src, dst);
+        }
+    }
+
+    /// Draws `src.len()` consecutive edges from `rng` into `src` (and
+    /// `dst`, of the same length, when `DST`) and leaves `rng` after the
+    /// last one. Whole groups of 8 go through the AVX-512 kernel when the
+    /// CPU has it; the rest, and every edge on other CPUs, through
+    /// [`Stream::edge`] or [`Stream::source`].
+    fn draw_batch<const DST: bool>(&self, rng: &mut SplitMix64, src: &mut [u32], dst: &mut [u32]) {
+        let done = if self.avx512 { src.len() / 8 * 8 } else { 0 };
+        #[cfg(target_arch = "x86_64")]
+        if done > 0 {
+            // SAFETY: `avx512` is true only when `is_x86_feature_detected!`
+            // found AVX-512F and AVX-512DQ on this CPU (`Stream::new`), the
+            // features `avx512::draw_groups` is compiled for.
+            unsafe { avx512::draw_groups::<DST>(self, rng.state(), &mut src[..done], dst) };
+        }
+        rng.advance(done as u64 * self.levels as u64);
+        for i in done..src.len() {
+            if DST {
+                (src[i], dst[i]) = self.edge(rng);
+            } else {
+                src[i] = self.source(rng);
+            }
         }
     }
 
@@ -168,6 +205,89 @@ impl Stream {
     }
 }
 
+/// The 8-lane R-MAT draw kernel (DESIGN.md §5j). It computes exactly what
+/// [`Stream::edge`] and [`Stream::source`] compute, for 8 consecutive
+/// edges at once, one edge per 64-bit lane.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    use tiersim::rng::GAMMA;
+
+    use super::Stream;
+
+    /// The 32-bit value in each lane of `v`, low lane first.
+    macro_rules! lanes {
+        ($v:expr) => {{
+            let v = _mm512_cvtepi64_epi32($v);
+            [
+                _mm256_extract_epi32::<0>(v) as u32,
+                _mm256_extract_epi32::<1>(v) as u32,
+                _mm256_extract_epi32::<2>(v) as u32,
+                _mm256_extract_epi32::<3>(v) as u32,
+                _mm256_extract_epi32::<4>(v) as u32,
+                _mm256_extract_epi32::<5>(v) as u32,
+                _mm256_extract_epi32::<6>(v) as u32,
+                _mm256_extract_epi32::<7>(v) as u32,
+            ]
+        }};
+    }
+
+    /// Draws the `src.len() / 8` groups of 8 consecutive edges that follow
+    /// generator state `state` into `src` (and `dst` when `DST`). Lane `j`
+    /// of group `k` holds edge `8k + j`, whose first draw is at state
+    /// `state + ((8k + j)·levels + 1)·GAMMA`; every level adds `GAMMA`.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) fn draw_groups<const DST: bool>(
+        stream: &Stream,
+        state: u64,
+        src: &mut [u32],
+        dst: &mut [u32],
+    ) {
+        let levels = stream.levels as u64;
+        let splat = |x: u64| _mm512_set1_epi64(x as i64);
+        let [t_a, t_ab, t_abc] = stream.thresholds.map(splat);
+        let (gamma, one) = (splat(GAMMA), splat(1));
+        let (n, shift) = (splat(stream.n as u64), splat(levels));
+        // SplitMix64's output-mix multipliers (tiersim::rng).
+        let (m1, m2) = (splat(0xbf58476d1ce4e5b9), splat(0x94d049bb133111eb));
+        let lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+        let mut first = _mm512_add_epi64(
+            splat(state.wrapping_add(GAMMA)),
+            _mm512_mullo_epi64(lane, splat(levels.wrapping_mul(GAMMA))),
+        );
+        let stride = splat((8 * levels).wrapping_mul(GAMMA));
+        // x < 2^levels <= 2^32 and n < 2^32, so the 64-bit product is
+        // exact and the fold equals the scalar one.
+        let fold = |x: __m512i| _mm512_srlv_epi64(_mm512_mullo_epi64(x, n), shift);
+        for (k, out) in src.chunks_exact_mut(8).enumerate() {
+            let (mut s, mut d, mut x) = (_mm512_setzero_si512(), _mm512_setzero_si512(), first);
+            for _ in 0..levels {
+                let z = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64::<30>(x)), m1);
+                let z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)), m2);
+                let u = _mm512_srli_epi64::<11>(_mm512_xor_si512(z, _mm512_srli_epi64::<31>(z)));
+                let ge_ab = _mm512_cmpge_epu64_mask(u, t_ab);
+                let s2 = _mm512_slli_epi64::<1>(s);
+                s = _mm512_mask_or_epi64(s2, ge_ab, s2, one);
+                if DST {
+                    // With t_A < t_AB < t_ABC the xor is 1 on [t_A, t_AB)
+                    // and above t_ABC, the scalar dst bit.
+                    let bit =
+                        _mm512_cmpge_epu64_mask(u, t_a) ^ ge_ab ^ _mm512_cmpge_epu64_mask(u, t_abc);
+                    let d2 = _mm512_slli_epi64::<1>(d);
+                    d = _mm512_mask_or_epi64(d2, bit, d2, one);
+                }
+                x = _mm512_add_epi64(x, gamma);
+            }
+            out.copy_from_slice(&lanes!(fold(s)));
+            if DST {
+                dst[8 * k..8 * k + 8].copy_from_slice(&lanes!(fold(d)));
+            }
+            first = _mm512_add_epi64(first, stride);
+        }
+    }
+}
+
 /// Generates an R-MAT graph with the canonical (0.57, 0.19, 0.19, 0.05)
 /// partition probabilities, producing a skewed (power-law-ish) degree
 /// distribution. Uses every available core; the output does not depend
@@ -191,8 +311,8 @@ fn rmat_chunked(params: RmatParams, chunks: usize, workers: usize) -> Csr {
 
     let mut cursors = map_chunks(workers, edges, chunk_len, |range| {
         let mut count = vec![0u64; n];
-        stream.for_each_batch(range, |rng| stream.source(rng), |batch| {
-            for &src in batch {
+        stream.for_each_batch::<false>(range, |srcs, _| {
+            for &src in srcs {
                 count[src as usize] += 1;
             }
         });
@@ -216,8 +336,8 @@ fn rmat_chunked(params: RmatParams, chunks: usize, workers: usize) -> Csr {
         // Only this chunk ever locks its cursor array, so the lock never
         // waits, and a panic here ends the build before anyone relocks it.
         let mut cursor = cursors[range.start / chunk_len].lock().expect("cursor locked once");
-        stream.for_each_batch(range, |rng| stream.edge(rng), |batch| {
-            for &(src, dst) in batch {
+        stream.for_each_batch::<true>(range, |srcs, dsts| {
+            for (&src, &dst) in srcs.iter().zip(dsts) {
                 let at = &mut cursor[src as usize];
                 // Positions are disjoint across chunks, so no store races;
                 // joining the workers orders every store before the
@@ -411,6 +531,43 @@ mod tests {
                     let mut rng = SplitMix64::from_state(state_yielding(x));
                     assert_eq!(rng.clone().next_u64(), x);
                     assert_eq!(rng.unit_f64() < p, u < t, "p={p} t={t} u={u}");
+                }
+            }
+        }
+    }
+
+    /// The batch kernel against the scalar path for every `levels`, at
+    /// start states that wrap the counter and batch lengths with and
+    /// without whole groups of 8. On CPUs without AVX-512 both sides run
+    /// the scalar path.
+    #[test]
+    fn avx512_batches_match_scalar_batches() {
+        use tiersim::rng::GAMMA;
+        let mut random = SplitMix64::new(0x5eed);
+        for levels in 1..=32u32 {
+            for n in [(1u64 << (levels - 1)) + 1, (1u64 << levels).min(u32::MAX as u64)] {
+                let p = RmatParams { vertices: n as u32, edges: 0, seed: 0 };
+                let fast = Stream::new(p);
+                let scalar = Stream { avx512: false, ..Stream::new(p) };
+                assert_eq!(fast.levels, levels);
+                let states =
+                    [0, u64::MAX, 0u64.wrapping_sub(GAMMA), random.next_u64(), random.next_u64()];
+                for state in states {
+                    for count in 0..=37 {
+                        let draw = |stream: &Stream, dst_len: usize| {
+                            let mut rng = SplitMix64::from_state(state);
+                            let (mut src, mut dst) = (vec![0; count], vec![0; dst_len]);
+                            if dst_len > 0 {
+                                stream.draw_batch::<true>(&mut rng, &mut src, &mut dst);
+                            } else {
+                                stream.draw_batch::<false>(&mut rng, &mut src, &mut dst);
+                            }
+                            (src, dst, rng.state())
+                        };
+                        let at = format!("n={n} state={state:#x} count={count}");
+                        assert_eq!(draw(&fast, count), draw(&scalar, count), "edges {at}");
+                        assert_eq!(draw(&fast, 0), draw(&scalar, 0), "sources {at}");
+                    }
                 }
             }
         }
