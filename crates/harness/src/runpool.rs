@@ -1,23 +1,15 @@
-//! A dependency-free parallel executor for independent evaluation runs.
+//! The harness's handle on the worker pool.
 //!
 //! The evaluation matrix is embarrassingly parallel: every `(manager,
 //! workload, opts)` run owns its `Machine`, seeded RNG and manager, so
 //! runs can execute on any thread in any order and still produce
-//! bit-identical reports. This module provides the small worker pool the
-//! harness uses to exploit that: `std::thread::scope` workers pulling
-//! task indexes from a shared atomic counter, results returned in task
-//! order so callers stay deterministic.
+//! bit-identical reports. [`map_parallel`] runs them on
+//! [`tiersim::pool::map`] with [`jobs`] workers, results in item order.
 //!
 //! The worker count defaults to `available_parallelism` and is overridden
 //! by the `MTM_JOBS` environment variable when set; `MTM_JOBS=1` forces
 //! the serial path (useful for timing comparisons and for
 //! byte-identical-output checks against the parallel path).
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// A boxed task for [`run_all`].
-pub type Job<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
 /// Number of workers to use: `available_parallelism` by default, or
 /// exactly `MTM_JOBS` when that environment variable is set (an explicit
@@ -39,89 +31,21 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Runs every task, using up to [`jobs`] worker threads, and returns the
-/// results in task order. With one worker (or one task) the tasks run
-/// inline on the calling thread, in order — the exact serial behavior.
-///
-/// A panicking task propagates its panic to the caller after all workers
-/// have stopped picking up new tasks.
-pub fn run_all<'a, T: Send>(tasks: Vec<Job<'a, T>>) -> Vec<T> {
-    let n = tasks.len();
-    let workers = jobs().min(n).max(1);
-    if workers == 1 {
-        return tasks.into_iter().map(|f| f()).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Job<'a, T>>>> =
-        tasks.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let task = slots[i].lock().expect("task slot poisoned").take().expect("task taken once");
-                let out = task();
-                *results[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("result slot poisoned").expect("worker filled every slot"))
-        .collect()
-}
-
-/// Maps `f` over `items` in parallel, preserving order.
+/// Maps `f` over `items` on [`jobs`] workers, preserving order. A
+/// panicking item propagates its panic to the caller.
 pub fn map_parallel<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
     T: Send,
     F: Fn(I) -> T + Sync,
 {
-    let f = &f;
-    run_all(items.into_iter().map(|it| Box::new(move || f(it)) as Job<'_, T>).collect())
+    tiersim::pool::map(jobs(), items, f)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn results_keep_task_order() {
-        let out = map_parallel((0..64).collect(), |i: u64| i * i);
-        assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn every_task_runs_exactly_once() {
-        let counter = AtomicU64::new(0);
-        let out = map_parallel((0..100).collect::<Vec<u32>>(), |_| {
-            counter.fetch_add(1, Ordering::Relaxed)
-        });
-        assert_eq!(out.len(), 100);
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn heterogeneous_boxed_jobs_run() {
-        let a = 7u64;
-        let jobs: Vec<Job<'_, u64>> =
-            vec![Box::new(|| 1), Box::new(move || a), Box::new(|| 40 + 2)];
-        assert_eq!(run_all(jobs), vec![1, 7, 42]);
-    }
-
-    #[test]
-    fn empty_task_list_is_fine() {
-        let out: Vec<u8> = run_all(Vec::new());
-        assert!(out.is_empty());
-    }
-
     #[test]
     fn jobs_is_at_least_one() {
-        assert!(jobs() >= 1);
+        assert!(super::jobs() >= 1);
     }
 }

@@ -13,9 +13,9 @@
 //! with the global arbiter re-splitting capacity at every boundary. The
 //! driver mirrors `multitenant::run_cell` (lock-step serial stepping,
 //! arbitration between intervals), so the table is byte-identical for
-//! any `MTM_JOBS` / `MTM_RUN_WORKERS` / `MTM_CHECK` setting. Scenario
-//! machines are always healthy — phase transitions, not faults, are the
-//! subject — so the table is also independent of `MTM_FAULTS`.
+//! any `MTM_JOBS` / `MTM_CHECK` setting. Scenario machines are always
+//! healthy — phase transitions, not faults, are the subject — so the
+//! table is also independent of `MTM_FAULTS`.
 //!
 //! The sweep ends with an always-on checkpoint differential: the
 //! MTM/KVDrift cell is checkpointed mid-run, resumed in fresh objects,

@@ -8,7 +8,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use mtm_harness::runpool::{self, Job};
 use mtm_harness::runs::{cached_run_traced, prewarm, run_pair};
 use mtm_harness::Opts;
 
@@ -57,20 +56,14 @@ fn same_key_runs_exactly_once_across_threads() {
 
 #[test]
 fn distinct_keys_execute_in_parallel_on_the_pool() {
-    force_parallel();
-    // Both tasks block until the other has started: this only terminates
-    // if the pool really runs distinct tasks concurrently.
+    // Both items block until the other has started: this only terminates
+    // if the pool really runs distinct items concurrently.
     let rendezvous = Barrier::new(2);
-    let jobs: Vec<Job<'_, usize>> = (0..2usize)
-        .map(|i| {
-            let rendezvous = &rendezvous;
-            Box::new(move || {
-                rendezvous.wait();
-                i
-            }) as Job<'_, usize>
-        })
-        .collect();
-    assert_eq!(runpool::run_all(jobs), vec![0, 1]);
+    let out = tiersim::pool::map(2, vec![0usize, 1], |i| {
+        rendezvous.wait();
+        i
+    });
+    assert_eq!(out, vec![0, 1]);
 }
 
 #[test]

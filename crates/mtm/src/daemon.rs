@@ -116,11 +116,6 @@ impl MemoryManager for MtmManager {
         if k == 1 {
             self.engine.resolve_pending(m);
         }
-        // The scan passes below fan their accessed-bit reads out as work
-        // packets over `MTM_RUN_WORKERS` (see `AdaptiveProfiler::scan_pass`
-        // and `tiersim::engine`); bit clears and clock charges stay serial
-        // in plan order, so the daemon's decisions — and the run's output —
-        // do not depend on the worker count.
         let group = 8;
         if k % group == group - 1 {
             self.profiler.prime_pass(m);

@@ -147,47 +147,22 @@ impl AdaptiveProfiler {
     pub fn prime_pass(&mut self, m: &mut Machine) {
         for s in &self.plan {
             // Priming only needs the clear; the accessed bit is not read.
-            let _ = m.scan_page_clear(s.page);
+            let _ = m.scan_page(s.page);
         }
     }
 
     /// Performs one counted scan pass over the planned samples (one of
-    /// the `num_scans` checks per interval).
-    ///
-    /// Split into a parallel read phase and a serial apply phase. The
-    /// read phase samples each planned slot's accessed bit from the page
-    /// table's packed side metadata — pure reads, fanned out as work
-    /// packets ([`tiersim::engine`]) and reduced in plan order. The apply
-    /// phase then walks the plan serially in its original order, clearing
-    /// bits, bumping counts, and charging scan costs — so clock charges
-    /// accumulate in exactly the serial order and the result is
-    /// byte-identical for any `MTM_RUN_WORKERS`.
+    /// the `num_scans` checks per interval), in plan order.
     ///
     /// Two plan slots can alias one mapping (samples land in the same
-    /// huge page, or a region boundary repeats a page): serially, the
-    /// first scan of a mapping takes the accessed bit and later scans of
-    /// the same mapping read it cleared. The apply phase reproduces that
-    /// with a seen-set keyed by mapping identity.
+    /// huge page, or a region boundary repeats a page): the first scan of
+    /// a mapping takes the accessed bit and later scans of the same
+    /// mapping read it cleared, so a mapping counts at most once per pass.
     pub fn scan_pass(&mut self, m: &mut Machine) {
         let every = self.cfg.hint_fault_every.max(1) as u64;
-        let pre = {
-            let pt = m.page_table();
-            tiersim::engine::map_items(m.run_workers(), &self.plan, 256, |s| pt.accessed_at(s.page))
-        };
-        let mut seen = std::collections::BTreeSet::new();
-        for (s, pre) in self.plan.iter_mut().zip(pre) {
-            if let Some((accessed, size)) = pre {
-                if m.scan_page_clear(s.page) {
-                    let key = match size {
-                        FrameSize::Huge2M => s.page.page_2m().0,
-                        FrameSize::Base4K => s.page.page_4k().0,
-                    };
-                    // `insert` must run unconditionally: even a
-                    // not-accessed first scan claims the mapping.
-                    if seen.insert(key) && accessed {
-                        s.count += 1;
-                    }
-                }
+        for s in &mut self.plan {
+            if let Some((true, _)) = m.scan_page(s.page) {
+                s.count += 1;
             }
             self.scan_tick += 1;
             if self.scan_tick % every == 0 {

@@ -28,13 +28,13 @@ pub mod addr;
 pub mod cache;
 pub mod clock;
 pub mod counters;
-pub mod engine;
 pub mod frame;
 pub mod hintfault;
 pub mod machine;
 pub mod migrate;
 pub mod page_table;
 pub mod pebs;
+pub mod pool;
 pub mod pte;
 pub mod rng;
 pub mod sim;

@@ -260,9 +260,6 @@ pub struct Machine {
     /// Access heatmap, dense-indexed by 2 MB chunk (`va >> 21`); zero
     /// entries mean "never touched" and are skipped on snapshot.
     heat: Vec<u64>,
-    /// Worker count for packetized intra-run sweeps, snapshotted from
-    /// `MTM_RUN_WORKERS` at construction (see [`crate::engine`]).
-    run_workers: usize,
     /// Per-run observability recorder. Recording never touches the clock
     /// or any RNG, so instrumentation cannot perturb simulated results.
     pub(crate) recorder: obs::Recorder,
@@ -343,7 +340,6 @@ impl Machine {
             hmc_caches,
             hmc_front,
             heat: Vec::new(),
-            run_workers: crate::engine::workers(),
             recorder: obs::Recorder::new(),
             faults: faultsim::FaultState::disabled(),
             checking: mtm_check::enabled(),
@@ -717,21 +713,6 @@ impl Machine {
         Some((accessed, huge))
     }
 
-    /// Clears the ACCESSED bit of the page covering `va` without reading
-    /// it, charging one scan — the apply half of a packetized scan pass
-    /// whose read half already sampled the bit from the packed side
-    /// metadata ([`PageTable::accessed_at`]). Returns whether the page
-    /// was mapped (unmapped pages cost nothing, as in
-    /// [`Machine::scan_page`]).
-    pub fn scan_page_clear(&mut self, va: VirtAddr) -> bool {
-        if self.pt.clear_accessed_at(va).is_none() {
-            return false;
-        }
-        self.stats.pte_scans += 1;
-        self.clock.charge_profiling(self.cfg.costs.one_scan_ns);
-        true
-    }
-
     /// Reads the ACCESSED bit without clearing or charging (test helper).
     pub fn peek_accessed(&self, va: VirtAddr) -> Option<bool> {
         self.pt.translate(va).map(|t| t.pte.accessed())
@@ -929,18 +910,6 @@ impl Machine {
             .collect()
     }
 
-    /// Worker count used by packetized intra-run sweeps.
-    #[inline]
-    pub fn run_workers(&self) -> usize {
-        self.run_workers
-    }
-
-    /// Overrides the packet worker count for this machine (tests pin it
-    /// programmatically instead of racing on `MTM_RUN_WORKERS`).
-    pub fn set_run_workers(&mut self, workers: usize) {
-        self.run_workers = workers.max(1);
-    }
-
     /// Component currently backing the page at `va`, if mapped.
     pub fn component_of(&self, va: VirtAddr) -> Option<ComponentId> {
         self.pt.translate(va).map(|t| t.pte.frame().component())
@@ -1113,10 +1082,10 @@ impl Machine {
     // and `load_state` then overwrites every piece of dynamic state, so
     // derived structures (the charge table, PEBS programming, packed
     // side metadata) re-derive from config + restored state instead of
-    // being stored. `run_workers` and `checking` are deliberately *not*
-    // part of the state: they are environment-derived execution knobs
-    // that must not alter simulated results, and a checkpoint written
-    // under one knob setting must restore under any other.
+    // being stored. `checking` is deliberately *not* part of the state:
+    // it is an environment-derived execution knob that must not alter
+    // simulated results, and a checkpoint written with the sanitizer on
+    // must restore with it off and vice versa.
 
     /// Digest of every configuration parameter that shapes simulated
     /// state. A checkpoint written under one configuration refuses to
@@ -1446,42 +1415,19 @@ impl Machine {
         let ncomp = self.allocators.len();
         let mut mapped = vec![0u64; ncomp];
         let mut spans: Vec<(u16, u64, u64, u64)> = Vec::new();
-        // Census as work packets: one packet per 1 GB directory group,
-        // reduced in index order, so the packetized walk visits pages in
-        // exactly the ascending order `for_each_mapped_all` would.
-        let packets = crate::engine::map_chunks(
-            self.run_workers,
-            self.pt.dir_count(),
-            1,
-            |dirs| {
-                let mut mapped = vec![0u64; ncomp];
-                let mut spans: Vec<(u16, u64, u64, u64)> = Vec::new();
-                let mut violations = Vec::new();
-                for di in dirs {
-                    self.pt.for_each_mapped_in_dir(di, |va, pte, size| {
-                        let frame = pte.frame();
-                        let c = frame.component();
-                        if (c as usize) < ncomp {
-                            mapped[c as usize] += size.bytes();
-                        } else {
-                            violations.push(format!(
-                                "page {:#x} maps component {c} but the machine has {ncomp} component(s)",
-                                va.0
-                            ));
-                        }
-                        spans.push((c, frame.offset(), frame.offset() + size.bytes(), va.0));
-                    });
-                }
-                (mapped, spans, violations)
-            },
-        );
-        for (pm, ps, pv) in packets {
-            for (c, b) in pm.into_iter().enumerate() {
-                mapped[c] += b;
+        self.pt.for_each_mapped_all(|va, pte, size| {
+            let frame = pte.frame();
+            let c = frame.component();
+            if (c as usize) < ncomp {
+                mapped[c as usize] += size.bytes();
+            } else {
+                violations.push(format!(
+                    "page {:#x} maps component {c} but the machine has {ncomp} component(s)",
+                    va.0
+                ));
             }
-            spans.extend(ps);
-            violations.extend(pv);
-        }
+            spans.push((c, frame.offset(), frame.offset() + size.bytes(), va.0));
+        });
         // Cross-check the packed side metadata against the PTE bits (the
         // source of truth): any drift means a scan path bypassed the
         // touch/scan accessors.

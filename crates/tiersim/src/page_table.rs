@@ -19,26 +19,24 @@
 //! proportional to the workload's address-space extent (16 bytes per 2 MB
 //! of virtual span), not to the 47-bit address space.
 //!
-//! A 1 GB *directory group* of 512 consecutive slots remains the unit of
-//! packetized whole-table walks: packet workers fan out over
-//! `0..dir_count()` groups and reduce in index order.
+//! Whole-table walks visit 1 GB *directory groups* of 512 consecutive
+//! slots in index order.
 //!
 //! # Packed side metadata
 //!
 //! Each leaf table carries three 512-bit bitmaps (`[u64; 8]`) mirroring its
 //! PTEs' PRESENT, ACCESSED and DIRTY bits, and the table keeps the global
 //! occupancy bitmap over its slots. Scans and walks sweep these words with
-//! `trailing_zeros` instead of probing 512 PTEs; profiling reads the
-//! accessed bit from the bitmap without touching the PTE array. The **PTE
-//! bits remain the source of truth**: the `MTM_CHECK` sanitizer re-derives
-//! every bitmap word from the PTEs ([`PageTable::check_side_metadata`]) and
-//! panics on drift. Huge-page entries keep their A/D state in the PTE alone
-//! (one page per slot needs no bitmap). To keep PTE and bitmap in sync,
+//! `trailing_zeros` instead of probing 512 PTEs. The **PTE bits remain the
+//! source of truth**: the `MTM_CHECK` sanitizer re-derives every bitmap
+//! word from the PTEs ([`PageTable::check_side_metadata`]) and panics on
+//! drift. Huge-page entries keep their A/D state in the PTE alone (one page
+//! per slot needs no bitmap). To keep PTE and bitmap in sync,
 //! ACCESSED/DIRTY must only be mutated through [`PageTable::touch`],
-//! [`PageTable::scan_page_at`], [`PageTable::clear_accessed_at`] and the
-//! map/unmap/split operations — never through [`PageTable::pte_mut`] or a
-//! [`PageTable::for_each_mapped`] callback (those remain for the
-//! POISON/PROT_NONE/WRITE_TRACK software bits).
+//! [`PageTable::scan_page_at`] and the map/unmap/split operations — never
+//! through [`PageTable::pte_mut`] or a [`PageTable::for_each_mapped`]
+//! callback (those remain for the POISON/PROT_NONE/WRITE_TRACK software
+//! bits).
 
 use crate::addr::{VaRange, VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K, PTES_PER_PD};
 use crate::frame::FrameSize;
@@ -229,11 +227,9 @@ impl PageTable {
         self.valid_pdes
     }
 
-    /// Number of 1 GB directory groups the table spans. Packetized walks
-    /// (sanitizer census, move-set collection) fan out over `0..dir_count()`
-    /// via [`crate::engine::map_chunks`] and reduce in index order.
+    /// Number of 1 GB directory groups the table spans.
     #[inline]
-    pub fn dir_count(&self) -> usize {
+    fn dir_count(&self) -> usize {
         self.slots.len().div_ceil(DIR_SLOTS)
     }
 
@@ -325,10 +321,10 @@ impl PageTable {
     }
 
     /// Reads the ACCESSED bit of the page covering `va` from the packed
-    /// side metadata, without clearing anything — the pure read phase of
-    /// a packetized scan pass. Returns the bit and the mapping size.
-    #[inline]
-    pub fn accessed_at(&self, va: VirtAddr) -> Option<(bool, FrameSize)> {
+    /// side metadata, without clearing anything. Returns the bit and the
+    /// mapping size. The side-metadata tests read the bitmap through it.
+    #[cfg(test)]
+    fn accessed_at(&self, va: VirtAddr) -> Option<(bool, FrameSize)> {
         match self.entry(va.pde_index())? {
             PdEntry::Huge(pte) if pte.present() => Some((pte.accessed(), FrameSize::Huge2M)),
             PdEntry::Table(leaf) => {
@@ -362,15 +358,6 @@ impl PageTable {
             }
             _ => None,
         }
-    }
-
-    /// Clears the ACCESSED bit of the page covering `va` without reading
-    /// it — the apply half of a packetized scan whose read half already
-    /// captured the bit via [`PageTable::accessed_at`]. Returns the
-    /// mapping size, or `None` if unmapped.
-    #[inline]
-    pub fn clear_accessed_at(&mut self, va: VirtAddr) -> Option<FrameSize> {
-        self.scan_page_at(va).map(|(_, size)| size)
     }
 
     /// Clears software flag bits (POISON / PROT_NONE / WRITE_TRACK) on the
@@ -501,8 +488,8 @@ impl PageTable {
 
     /// Read-only variant of [`PageTable::for_each_mapped`]: visits every
     /// mapped page in `range` without touching PTE flag bits, in ascending
-    /// address order. Used by the `MTM_CHECK` sanitizer and by packetized
-    /// read phases, which must observe without perturbing.
+    /// address order. Used by the `MTM_CHECK` sanitizer and by migration's
+    /// move-set collection, which must observe without perturbing.
     pub fn for_each_mapped_in(
         &self,
         range: VaRange,
@@ -535,10 +522,8 @@ impl PageTable {
     }
 
     /// Read-only visit of every mapped page in directory group `di`
-    /// (1 GB of virtual space), in ascending address order. The unit of
-    /// packetized whole-table walks: visiting groups `0..dir_count()` in
-    /// order reproduces [`PageTable::for_each_mapped_all`] exactly.
-    pub fn for_each_mapped_in_dir(&self, di: usize, mut f: impl FnMut(VirtAddr, Pte, FrameSize)) {
+    /// (1 GB of virtual space), in ascending address order.
+    fn for_each_mapped_in_dir(&self, di: usize, mut f: impl FnMut(VirtAddr, Pte, FrameSize)) {
         let lo = di * DIR_SLOTS;
         if lo >= self.slots.len() {
             return;

@@ -390,17 +390,15 @@ impl RunReport {
 /// is responsible for invoking `manager.on_interval` afterwards — which
 /// lets experiment harnesses probe manager state between intervals.
 ///
-/// # Phase structure and parallelism
+/// # Phase structure
 ///
-/// Each interval is three phases. **Access simulation** (the tick loop
-/// below) is inherently serial: every access mutates the clock, counters,
-/// PEBS and PTE state, and the access order *is* the simulated workload.
-/// **Profiling scans** and **migration batches** (inside the manager
-/// hooks) contain read-only page-table sweeps; those run as work packets
-/// on [`crate::engine`]'s pool (`MTM_RUN_WORKERS`) with their results
-/// reduced in packet order, then apply their effects serially in the
-/// original order — so the interval's outcome is byte-identical for any
-/// worker count.
+/// Each interval is three phases, all serial on the calling thread.
+/// **Access simulation** (the tick loop below) mutates the clock,
+/// counters, PEBS and PTE state, and the access order *is* the simulated
+/// workload. **Profiling scans** and **migration batches** run inside the
+/// manager hooks and charge their cost to the simulated clock, so host
+/// threads could not change their result; parallelism lives one level up,
+/// across independent runs ([`crate::pool`]).
 pub fn drive_interval(
     machine: &mut Machine,
     manager: &mut dyn MemoryManager,

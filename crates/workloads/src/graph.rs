@@ -23,7 +23,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use tiersim::engine::map_chunks;
+use tiersim::pool;
 
 use crate::rng::SplitMix64;
 
@@ -307,9 +307,11 @@ fn rmat_chunked(params: RmatParams, chunks: usize, workers: usize) -> Csr {
     let stream = Stream::new(params);
     let n = stream.n as usize;
     let edges = params.edges as usize;
-    let chunk_len = edges.div_ceil(chunks.max(1));
+    let chunk_len = edges.div_ceil(chunks.max(1)).max(1);
+    let ranges: Vec<Range<usize>> =
+        (0..edges).step_by(chunk_len).map(|lo| lo..(lo + chunk_len).min(edges)).collect();
 
-    let mut cursors = map_chunks(workers, edges, chunk_len, |range| {
+    let mut cursors = pool::map(workers, ranges.clone(), |range| {
         let mut count = vec![0u64; n];
         stream.for_each_batch::<false>(range, |srcs, _| {
             for &src in srcs {
@@ -330,12 +332,9 @@ fn rmat_chunked(params: RmatParams, chunks: usize, workers: usize) -> Csr {
     }
     offsets[n] = at;
 
-    let cursors: Vec<Mutex<Vec<u64>>> = cursors.into_iter().map(Mutex::new).collect();
     let neighbors: Vec<AtomicU32> = (0..edges).map(|_| AtomicU32::new(0)).collect();
-    map_chunks(workers, edges, chunk_len, |range| {
-        // Only this chunk ever locks its cursor array, so the lock never
-        // waits, and a panic here ends the build before anyone relocks it.
-        let mut cursor = cursors[range.start / chunk_len].lock().expect("cursor locked once");
+    let items: Vec<(Range<usize>, Vec<u64>)> = ranges.into_iter().zip(cursors).collect();
+    pool::map(workers, items, |(range, mut cursor)| {
         stream.for_each_batch::<true>(range, |srcs, dsts| {
             for (&src, &dst) in srcs.iter().zip(dsts) {
                 let at = &mut cursor[src as usize];

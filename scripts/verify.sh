@@ -65,84 +65,59 @@ if [[ "${1:-}" != "--no-bench" ]]; then
     cargo bench -p mtm-bench -- --quick
 fi
 
-# Parallel quick-mode smoke: run the whole harness (bin/all) on 4 workers.
-# This exercises the worker pool, the single-flight run cache and the
-# stderr diagnostics end to end. Any `warning:` line — an ignored env
-# override, an n/a experiment row, a failed result write — fails verify.
-echo "==> quick harness smoke (MTM_QUICK=1 MTM_JOBS=4)"
-smoke_err=$(mktemp)
-trap 'rm -f "$smoke_err" "$smoke_err.all" "$smoke_err.adm" "$smoke_err.mt1" "$smoke_err.mt4" "$smoke_err.sc1" "$smoke_err.sc4"' EXIT
-if ! MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin all \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (bin/all smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on harness stderr, see above)"
-    exit 1
-fi
-cp results/ALL.txt "$smoke_err.all"
+# Every harness smoke below is one `gate` call:
+#
+#   gate LABEL BIN ARTIFACT REF [VAR=VALUE...]
+#
+# runs bin/BIN (release, quick inputs) under the given environment with
+# stdout in "$tmp/stdout", and fails verify on a non-zero exit or on any
+# `warning:` line on stderr (an ignored env override, an n/a experiment
+# row, a failed result write). With a non-empty REF, the first gate that
+# names REF saves ARTIFACT as the reference and every later gate naming
+# it must reproduce that file byte for byte: the pool, MTM_JOBS and the
+# read-only MTM_CHECK sanitizer must never change a result.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+gate() {
+    local label="$1 (${*:5})" bin=$2 artifact=$3 ref=$4
+    shift 4
+    echo "==> $label"
+    if ! env "$@" cargo run --release -q -p mtm-harness --bin "$bin" \
+            >"$tmp/stdout" 2>"$tmp/stderr"; then
+        cat "$tmp/stderr" >&2
+        echo "verify: FAIL ($label run failed)"
+        exit 1
+    fi
+    if grep -E '^warning:' "$tmp/stderr"; then
+        echo "verify: FAIL (warning lines on $label stderr, see above)"
+        exit 1
+    fi
+    if [ -z "$ref" ]; then
+        return
+    fi
+    if [ ! -e "$ref" ]; then
+        cp "$artifact" "$ref"
+    elif ! cmp -s "$ref" "$artifact"; then
+        echo "verify: FAIL ($label changed $artifact against the first run)"
+        exit 1
+    fi
+}
 
-# Sanitized smoke: the same quick matrix with the MTM_CHECK shadow-state
-# sanitizer armed. Every migration commit/abort and every interval
-# boundary re-verifies PTE<->frame consistency, tier occupancy and the
-# obs counter/event books; a violation panics the run. The sanitizer is
-# read-only, so results/ALL.txt must come out byte-identical to the
-# unchecked run above.
-echo "==> sanitized harness smoke (MTM_CHECK=1 MTM_QUICK=1 MTM_JOBS=4)"
-if ! MTM_CHECK=1 MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin all \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (MTM_CHECK smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on MTM_CHECK smoke stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.all" results/ALL.txt; then
-    echo "verify: FAIL (MTM_CHECK=1 perturbed results/ALL.txt)"
-    exit 1
-fi
-
-# Packet-engine determinism: the same quick matrix with the intra-run
-# worker pool fanned out to 4 packet workers. The interval loop's
-# profiling scans and census sweeps reduce in packet order, so
-# results/ALL.txt must come out byte-identical to the serial
-# (MTM_RUN_WORKERS=1) run above regardless of thread scheduling.
-echo "==> packet-engine smoke (MTM_RUN_WORKERS=4 MTM_QUICK=1 MTM_JOBS=4)"
-if ! MTM_RUN_WORKERS=4 MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin all \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (MTM_RUN_WORKERS smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on MTM_RUN_WORKERS smoke stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.all" results/ALL.txt; then
-    echo "verify: FAIL (MTM_RUN_WORKERS=4 perturbed results/ALL.txt)"
-    exit 1
-fi
+# Parallel quick-mode smoke: the whole harness (bin/all) on 4 workers,
+# exercising the worker pool, the single-flight run cache and the stderr
+# diagnostics end to end. Then the same matrix with the MTM_CHECK
+# shadow-state sanitizer armed: every migration commit/abort and every
+# interval boundary re-verifies PTE<->frame consistency, tier occupancy
+# and the obs counter/event books (a violation panics the run), and
+# results/ALL.txt must not change.
+gate "quick harness smoke" all results/ALL.txt "$tmp/all" MTM_QUICK=1 MTM_JOBS=4
+gate "sanitized harness smoke" all results/ALL.txt "$tmp/all" MTM_CHECK=1 MTM_QUICK=1 MTM_JOBS=4
 
 # Telemetry smoke: the same quick matrix with MTM_TELEMETRY=1 must emit
 # per-run JSON under results/telemetry/ that parses and carries the
-# required top-level keys (telemetry_check validates every file). The
-# warning: gate applies here too.
-echo "==> telemetry smoke (MTM_TELEMETRY=1 MTM_QUICK=1 MTM_JOBS=4)"
+# required top-level keys (telemetry_check validates every file).
 rm -rf results/telemetry
-if ! MTM_TELEMETRY=1 MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin all \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (telemetry smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on telemetry smoke stderr, see above)"
-    exit 1
-fi
+gate "telemetry smoke" all results/ALL.txt "" MTM_TELEMETRY=1 MTM_QUICK=1 MTM_JOBS=4
 if ! cargo run --release -q -p mtm-harness --bin telemetry_check; then
     echo "verify: FAIL (emitted telemetry is malformed)"
     exit 1
@@ -153,67 +128,20 @@ fi
 # results/resilience.txt matches the committed artifact byte for byte).
 # Exercises the FaultPlan parser, the retry/abort/deferral machinery and
 # the robustness table end to end, with the shadow-state sanitizer armed
-# so migration aborts are checked too; the warning: gate applies here.
-echo "==> resilience smoke (MTM_CHECK=1 MTM_QUICK=1 MTM_JOBS=4)"
-if ! MTM_CHECK=1 MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin resilience \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (resilience smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on resilience stderr, see above)"
-    exit 1
-fi
+# so migration aborts are checked too.
+gate "resilience smoke" resilience "" "" MTM_CHECK=1 MTM_QUICK=1 MTM_JOBS=4
 
 # Admission smoke: the admission-control/shadow-copy sweep
-# (bin/admission) in quick mode. Three passes: MTM_JOBS=1 and MTM_JOBS=4
-# must produce byte-identical results/admission.txt (the sweep seeds
-# every cell from its own label, never from execution order), and a
-# MTM_CHECK=1 pass must pass the sanitizer — shadow-copy retention
-# changes the allocator books (used == mapped + shadow), so this is the
-# cell where a broken shadow ledger would surface. The warning: gate
-# applies to all three.
-echo "==> admission smoke (MTM_QUICK=1, MTM_JOBS=1 vs 4, then MTM_CHECK=1)"
-if ! MTM_QUICK=1 MTM_JOBS=1 cargo run --release -q -p mtm-harness --bin admission \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (admission smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on admission stderr, see above)"
-    exit 1
-fi
-cp results/admission.txt "$smoke_err.adm"
-if ! MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin admission \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (admission MTM_JOBS=4 smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on admission MTM_JOBS=4 stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.adm" results/admission.txt; then
-    echo "verify: FAIL (results/admission.txt differs between MTM_JOBS=1 and 4)"
-    exit 1
-fi
-if ! MTM_CHECK=1 MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin admission \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (admission MTM_CHECK smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on admission MTM_CHECK stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.adm" results/admission.txt; then
-    echo "verify: FAIL (MTM_CHECK=1 perturbed results/admission.txt)"
-    exit 1
-fi
+# (bin/admission) in quick mode. MTM_JOBS=1 and MTM_JOBS=4 must produce
+# byte-identical results/admission.txt (the sweep seeds every cell from
+# its own label, never from execution order), and an MTM_CHECK=1 pass
+# must pass the sanitizer — shadow-copy retention changes the allocator
+# books (used == mapped + shadow), so this is the cell where a broken
+# shadow ledger would surface.
+for env in "MTM_JOBS=1" "MTM_JOBS=4" "MTM_CHECK=1 MTM_JOBS=4"; do
+    # shellcheck disable=SC2086 # $env is a list of VAR=VALUE words
+    gate "admission smoke" admission results/admission.txt "$tmp/adm" MTM_QUICK=1 $env
+done
 
 # Multi-tenant smoke: the global-arbitration sweep (bin/multitenant)
 # restricted to 2 tenants. The table must be byte-identical between
@@ -222,111 +150,25 @@ fi
 # arms the shadow-state sanitizer plus the per-tenant quota-partition
 # census at every interval boundary without changing a byte. With
 # MTM_TENANTS set the bin does not touch the committed
-# results/multitenant.txt, so stdout is compared directly. The warning:
-# gate applies to all three passes.
-echo "==> multitenant smoke (MTM_QUICK=1 MTM_TENANTS=2, MTM_JOBS=1 vs 4, then MTM_CHECK=1)"
-if ! MTM_QUICK=1 MTM_TENANTS=2 MTM_JOBS=1 cargo run --release -q -p mtm-harness --bin multitenant \
-        >"$smoke_err.mt1" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (multitenant smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on multitenant stderr, see above)"
-    exit 1
-fi
-if ! MTM_QUICK=1 MTM_TENANTS=2 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin multitenant \
-        >"$smoke_err.mt4" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (multitenant MTM_JOBS=4 smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on multitenant MTM_JOBS=4 stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.mt1" "$smoke_err.mt4"; then
-    echo "verify: FAIL (multitenant table differs between MTM_JOBS=1 and 4)"
-    exit 1
-fi
-if ! MTM_CHECK=1 MTM_QUICK=1 MTM_TENANTS=2 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin multitenant \
-        >"$smoke_err.mt4" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (multitenant MTM_CHECK smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on multitenant MTM_CHECK stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.mt1" "$smoke_err.mt4"; then
-    echo "verify: FAIL (MTM_CHECK=1 perturbed the multitenant table)"
-    exit 1
-fi
+# results/multitenant.txt, so stdout is compared directly.
+for env in "MTM_JOBS=1" "MTM_JOBS=4" "MTM_CHECK=1 MTM_JOBS=4"; do
+    # shellcheck disable=SC2086
+    gate "multitenant smoke" multitenant "$tmp/stdout" "$tmp/mt" MTM_QUICK=1 MTM_TENANTS=2 $env
+done
 
 # Scenario smoke: the serving-generator/churn sweep (bin/scenarios) at a
 # short horizon. The table must be byte-identical between MTM_JOBS=1 and
-# MTM_JOBS=4 and between MTM_RUN_WORKERS=1 and 4 (cells are pure
-# functions of their labels; the churn cell steps tenants lock-step
-# serial), and an MTM_CHECK=1 pass arms the sanitizer without changing a
-# byte. Every full-sweep pass also exercises the checkpoint machinery:
-# the bin saves the MTM/KVDrift cell mid-run, resumes it in fresh
-# objects, and asserts the resumed report is byte-identical — a failed
-# differential panics the run. With MTM_SCENARIO_INTERVALS set the bin
-# does not touch the committed results/scenarios.txt, so stdout is
-# compared directly. The warning: gate applies to all passes.
-echo "==> scenario smoke (MTM_QUICK=1 MTM_SCENARIO_INTERVALS=12, MTM_JOBS/MTM_RUN_WORKERS 1 vs 4, then MTM_CHECK=1)"
-if ! MTM_QUICK=1 MTM_SCENARIO_INTERVALS=12 MTM_JOBS=1 cargo run --release -q -p mtm-harness --bin scenarios \
-        >"$smoke_err.sc1" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (scenario smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on scenario stderr, see above)"
-    exit 1
-fi
-if ! MTM_QUICK=1 MTM_SCENARIO_INTERVALS=12 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin scenarios \
-        >"$smoke_err.sc4" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (scenario MTM_JOBS=4 smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on scenario MTM_JOBS=4 stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.sc1" "$smoke_err.sc4"; then
-    echo "verify: FAIL (scenario table differs between MTM_JOBS=1 and 4)"
-    exit 1
-fi
-if ! MTM_QUICK=1 MTM_SCENARIO_INTERVALS=12 MTM_RUN_WORKERS=4 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin scenarios \
-        >"$smoke_err.sc4" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (scenario MTM_RUN_WORKERS=4 smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on scenario MTM_RUN_WORKERS stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.sc1" "$smoke_err.sc4"; then
-    echo "verify: FAIL (MTM_RUN_WORKERS=4 perturbed the scenario table)"
-    exit 1
-fi
-if ! MTM_CHECK=1 MTM_QUICK=1 MTM_SCENARIO_INTERVALS=12 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin scenarios \
-        >"$smoke_err.sc4" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (scenario MTM_CHECK smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on scenario MTM_CHECK stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.sc1" "$smoke_err.sc4"; then
-    echo "verify: FAIL (MTM_CHECK=1 perturbed the scenario table)"
-    exit 1
-fi
+# MTM_JOBS=4 (cells are pure functions of their labels; the churn cell
+# steps tenants lock-step serial), and an MTM_CHECK=1 pass arms the
+# sanitizer without changing a byte. Every full-sweep pass also exercises
+# the checkpoint machinery: the bin saves the MTM/KVDrift cell mid-run,
+# resumes it in fresh objects, and asserts the resumed report is
+# byte-identical — a failed differential panics the run. With
+# MTM_SCENARIO_INTERVALS set the bin does not touch the committed
+# results/scenarios.txt, so stdout is compared directly.
+for env in "MTM_JOBS=1" "MTM_JOBS=4" "MTM_CHECK=1 MTM_JOBS=4"; do
+    # shellcheck disable=SC2086
+    gate "scenario smoke" scenarios "$tmp/stdout" "$tmp/sc" MTM_QUICK=1 MTM_SCENARIO_INTERVALS=12 $env
+done
 
 echo "verify: OK"
